@@ -98,6 +98,12 @@ func quoteConst(name string) string {
 	if c := name[0]; c >= 'A' && c <= 'Z' || c == '_' {
 		plain = false
 	}
+	// A leading digit scans as an integer literal, which must be a plain
+	// canonical decimal ("007" would read back as 7, "3com" not at all)
+	// within the literal's range.
+	if c := name[0]; plain && c >= '0' && c <= '9' && !canonicalInt(name) {
+		plain = false
+	}
 	if plain {
 		return name
 	}
@@ -111,4 +117,19 @@ func quoteConst(name string) string {
 	}
 	b.WriteByte('\'')
 	return b.String()
+}
+
+// canonicalInt reports whether name is a decimal integer literal of at
+// most 9 digits with no leading zero: the digit strings whose integer
+// literal renders back to exactly the same text.
+func canonicalInt(name string) bool {
+	if len(name) > 9 || (len(name) > 1 && name[0] == '0') {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] < '0' || name[i] > '9' {
+			return false
+		}
+	}
+	return true
 }

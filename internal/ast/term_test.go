@@ -61,6 +61,11 @@ func TestSymbolString(t *testing.T) {
 		{Const("it's"), `'it\'s'`},
 		{Const(""), "''"},
 		{Const("12/25/89"), "'12/25/89'"},
+		{Const("42"), "42"},
+		{Const("0"), "0"},
+		{Const("0000"), "'0000'"},
+		{Const("3com"), "'3com'"},
+		{Const("1234567890"), "'1234567890'"},
 	}
 	for _, c := range cases {
 		if got := c.sym.String(); got != c.want {

@@ -135,15 +135,13 @@ func stripTimes(p *ProfileJSON) {
 	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Rule < p.Rules[j].Rule })
 }
 
-// TestProfileParallelDeterminism checks the satellite requirement:
-// profiler counters merged across worker counts are bit-identical —
-// par=1 ≡ par=8, including after delta propagation.
-func TestProfileParallelDeterminism(t *testing.T) {
+// TestProfileDeterministic checks profiler counters are bit-identical
+// across repeated evaluations, including after delta propagation.
+func TestProfileDeterministic(t *testing.T) {
 	rules, facts := workload.Ski(workload.SkiParams{YearLen: 30, Resorts: 6, Planes: 10, Holidays: 4, Seed: 42})
 	src := rules + facts
-	snap := func(par int) *ProfileJSON {
+	snap := func() *ProfileJSON {
 		e := profileEval(t, src)
-		e.SetParallelism(par)
 		e.EnsureWindow(90)
 		f := ast.Fact{Pred: "plane", Temporal: true, Time: 3, Args: []string{"r0"}}
 		if _, err := e.InsertBase(f); err != nil {
@@ -154,9 +152,9 @@ func TestProfileParallelDeterminism(t *testing.T) {
 		stripTimes(p)
 		return p
 	}
-	p1, p8 := snap(1), snap(8)
-	if !reflect.DeepEqual(p1, p8) {
-		t.Errorf("profiles differ across worker counts:\npar=1: %+v\npar=8: %+v", p1, p8)
+	p1, p2 := snap(), snap()
+	if !reflect.DeepEqual(p1, p2) {
+		t.Errorf("profiles differ across runs:\nfirst: %+v\nsecond: %+v", p1, p2)
 	}
 }
 

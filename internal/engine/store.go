@@ -65,12 +65,13 @@ type idxEntry struct {
 // idxTable is the set of indexes built so far for one relset. The table
 // value is immutable — building an index for a new mask installs a new
 // table via compare-and-swap — while the bucket maps inside it are
-// mutated in place by insert, which only runs in single-writer phases
-// (the sequential engine, the parallel schedule's merge phase, and the
-// overlay of one task). Concurrent read-side builds during a parallel
-// round race only on the CAS: both builders derive the same index from
-// the same frozen tuple list, so the loser's work is discarded without
-// any effect on results.
+// mutated in place by insert, which only runs on a private (unshared)
+// shard under the evaluator's single-writer discipline. A shard shared
+// copy-on-write between store clones is never written, but clones
+// evaluating concurrently (the Assert/ingest and sliced paths) may probe
+// it at once, so its lazy index builds race only on the CAS: both
+// builders derive the same index from the same frozen tuple list, and
+// the loser's work is discarded without any effect on results.
 type idxTable struct {
 	entries []idxEntry
 }

@@ -154,6 +154,56 @@ func FuzzParseUnit(f *testing.F) {
 	})
 }
 
+// queryFuzzSeeds covers the query shapes the serving tests send: ground
+// atoms (deep time points included), existential and universal
+// quantification, negation, connective keywords, and T+k terms.
+var queryFuzzSeeds = []string{
+	"even(1000000)",
+	"plane(0, hunter)",
+	"path(1000000, n0, n15)",
+	"exists T plane(T, hunter)",
+	"exists T (plane(T, hunter) & winter(T))",
+	"exists T, X plane(T, X)",
+	"forall X (!resort(X) | exists T plane(T, X))",
+	"plane(0, hunter) and not winter(0) or holiday(0)",
+	"exists T (even(T+2) & !even(T+1))",
+	"forall T (!even(T) | even(T+2))",
+	"plane(T, X)",
+	"q('a b', c)",
+	"go",
+	// Things that must error but not crash.
+	"even((",
+	"exists",
+	"forall T",
+	"p(T+)",
+}
+
+// FuzzParseQuery asserts that ParseQuery never panics and that accepted
+// queries round-trip: the rendered String() reparses, and the reparsed
+// query renders identically.
+func FuzzParseQuery(f *testing.F) {
+	for _, s := range queryFuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<10 {
+			t.Skip("oversized input")
+		}
+		q, err := ParseQuery(src, nil)
+		if err != nil {
+			return
+		}
+		out := q.String()
+		q2, err := ParseQuery(out, nil)
+		if err != nil {
+			t.Fatalf("round-trip rejected %q (from %q): %v", out, src, err)
+		}
+		if out2 := q2.String(); out2 != out {
+			t.Fatalf("round-trip changed the query: %q -> %q (from %q)", out, out2, src)
+		}
+	})
+}
+
 // TestIntervalExpansionCap pins the cumulative interval-expansion bound:
 // a unit may not expand to more than maxIntervalPoints facts via
 // intervals, however the intervals are split.

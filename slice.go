@@ -208,9 +208,6 @@ func (an *analysis) slicedBT(st *dbState, sl *progan.Slice) (*core.BT, error) {
 		// never the observability hooks: traces, profiles, and provenance
 		// stay attached to the full processor the caller owns.
 		opts := []core.Option{core.WithMaxWindow(st.cfg.maxWindow)}
-		if st.cfg.parallelism > 0 {
-			opts = append(opts, core.WithParallelism(st.cfg.parallelism))
-		}
 		if st.cfg.nestedLoop {
 			opts = append(opts, core.WithNestedLoopJoin())
 		}
