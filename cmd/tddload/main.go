@@ -32,7 +32,7 @@
 //
 // Self-hosted server tuning (ignored with -url):
 //
-//	-shards n -shed p -workers n -queue n -shard-queue n
+//	-shards n -workers n -queue n -shard-queue n
 //
 // The closed loop is the honest shape for a backpressure benchmark:
 // each client has at most one request outstanding, so offered load
@@ -114,7 +114,6 @@ func run() error {
 	appendOut := flag.Bool("append", false, "merge this scenario into -out")
 
 	shards := flag.Int("shards", 0, "self-hosted: registry lock domains (0 = default)")
-	shed := flag.String("shed", "", `self-hosted: admission policy "shed" or "block"`)
 	workers := flag.Int("workers", 0, "self-hosted: concurrent evaluations (0 = NumCPU)")
 	queue := flag.Int("queue", 0, "self-hosted: worker queue bound (0 = default)")
 	shardQueue := flag.Int("shard-queue", 0, "self-hosted: per-shard in-flight bound (0 = auto)")
@@ -138,7 +137,6 @@ func run() error {
 	if *self {
 		srv, err := server.New(server.Config{
 			Shards:     *shards,
-			Shed:       *shed,
 			Workers:    *workers,
 			Queue:      *queue,
 			ShardQueue: *shardQueue,
@@ -309,7 +307,7 @@ func run() error {
 	rep := summarize(*scenario, base, elapsed, *clients, *rate, *programs, *mixSpec, *hot, results, before, after)
 	if *self {
 		rep.Self = &selfConfig{
-			Shards: *shards, Shed: *shed, Workers: *workers,
+			Shards: *shards, Workers: *workers,
 			Queue: *queue, ShardQueue: *shardQueue,
 		}
 	}
@@ -443,11 +441,10 @@ func scrapeMetrics(c *http.Client, base string) (metricsSnap, error) {
 
 // selfConfig records the self-hosted server's tuning in the report.
 type selfConfig struct {
-	Shards     int    `json:"shards"`
-	Shed       string `json:"shed,omitempty"`
-	Workers    int    `json:"workers"`
-	Queue      int    `json:"queue"`
-	ShardQueue int    `json:"shard_queue"`
+	Shards     int `json:"shards"`
+	Workers    int `json:"workers"`
+	Queue      int `json:"queue"`
+	ShardQueue int `json:"shard_queue"`
 }
 
 // opReport is the per-operation latency/throughput section.

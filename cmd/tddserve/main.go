@@ -18,10 +18,9 @@
 //	-queue n    additional requests allowed to wait for a worker (default 4×workers, min 64)
 //	-cache n    warm specifications kept resident, LRU (default 64)
 //	-shards n   registry/cache lock domains keyed by program content hash (default 8)
-//	-shed p     admission policy: "shed" fast-fails overload with 429/503 +
-//	            Retry-After, "block" waits until the request deadline (default shed)
-//	-shard-queue n  in-flight requests admitted per shard under -shed shed
-//	            (default: workers+queue spread over shards, min 16)
+//	-shard-queue n  in-flight requests admitted per shard (default workers+queue);
+//	            overload fast-fails with 429 (shard full) or 503 (queue full)
+//	            and Retry-After
 //	-timeout d  per-request deadline (default 30s; negative disables)
 //	-window n   period-certification window budget per program (0 = engine default)
 //	-slice      answer closed asks from the query's relevance slice: the
@@ -102,8 +101,7 @@ func run() error {
 	queue := flag.Int("queue", 0, "waiting requests beyond the running ones (0 = 4x workers)")
 	cache := flag.Int("cache", 64, "warm specifications kept resident (LRU)")
 	shards := flag.Int("shards", 0, "registry/cache lock domains (0 = default 8; 1 = single global lock)")
-	shed := flag.String("shed", "", `admission policy: "shed" (fast-fail overload, default) or "block"`)
-	shardQueue := flag.Int("shard-queue", 0, "in-flight requests admitted per shard under shedding (0 = auto)")
+	shardQueue := flag.Int("shard-queue", 0, "in-flight requests admitted per shard (0 = workers+queue)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (negative disables)")
 	window := flag.Int("window", 0, "period-certification window budget (0 = default)")
 	slice := flag.Bool("slice", false, "answer closed asks from the query's relevance slice")
@@ -125,7 +123,6 @@ func run() error {
 		Queue:          *queue,
 		CacheSize:      *cache,
 		Shards:         *shards,
-		Shed:           *shed,
 		ShardQueue:     *shardQueue,
 		RequestTimeout: *timeout,
 		MaxWindow:      *window,

@@ -30,15 +30,18 @@ import (
 	"tdd/internal/obs"
 )
 
-// inflightReq is one HTTP request currently executing, tracked by the
-// route middleware from dispatch to response.
-type inflightReq struct {
-	route   string
-	method  string
-	path    string
-	program string // "" on routes without a program id
-	shard   int    // -1 without a program id
-	traceID string
+// InflightSnapshot is one in-flight request as reported by
+// GET /debug/flights. The route middleware records it from dispatch to
+// response; AgeUs is filled in at snapshot time.
+type InflightSnapshot struct {
+	Route   string `json:"route"`
+	Method  string `json:"method"`
+	Path    string `json:"path"`
+	Program string `json:"program,omitempty"`
+	Shard   int    `json:"shard"` // -1 on routes without a program id
+	TraceID string `json:"trace_id"`
+	AgeUs   int64  `json:"age_us"`
+
 	started time.Time
 }
 
@@ -48,14 +51,14 @@ type inflightReq struct {
 type inflightTable struct {
 	mu   sync.Mutex
 	next uint64
-	m    map[uint64]*inflightReq
+	m    map[uint64]InflightSnapshot
 }
 
 func newInflightTable() *inflightTable {
-	return &inflightTable{m: make(map[uint64]*inflightReq)}
+	return &inflightTable{m: make(map[uint64]InflightSnapshot)}
 }
 
-func (t *inflightTable) add(req *inflightReq) uint64 {
+func (t *inflightTable) add(req InflightSnapshot) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
@@ -69,16 +72,10 @@ func (t *inflightTable) remove(token uint64) {
 	t.mu.Unlock()
 }
 
-// InflightSnapshot is one in-flight request as reported by
-// GET /debug/flights.
-type InflightSnapshot struct {
-	Route   string `json:"route"`
-	Method  string `json:"method"`
-	Path    string `json:"path"`
-	Program string `json:"program,omitempty"`
-	Shard   int    `json:"shard"` // -1 on routes without a program id
-	TraceID string `json:"trace_id"`
-	AgeUs   int64  `json:"age_us"`
+func (t *inflightTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
 }
 
 // snapshot reports every in-flight request, oldest first — the head of
@@ -88,15 +85,8 @@ func (t *inflightTable) snapshot() []InflightSnapshot {
 	out := make([]InflightSnapshot, 0, len(t.m))
 	now := time.Now()
 	for _, r := range t.m {
-		out = append(out, InflightSnapshot{
-			Route:   r.route,
-			Method:  r.method,
-			Path:    r.path,
-			Program: r.program,
-			Shard:   r.shard,
-			TraceID: r.traceID,
-			AgeUs:   now.Sub(r.started).Microseconds(),
-		})
+		r.AgeUs = now.Sub(r.started).Microseconds()
+		out = append(out, r)
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].AgeUs > out[j].AgeUs })
@@ -115,14 +105,13 @@ type SlowQuery struct {
 	Trace     *obs.TraceJSON `json:"trace,omitempty"`
 }
 
-// slowRing keeps the last keep slow queries. Older entries are
-// overwritten; total counts every slow query ever recorded so a reader
-// can tell "quiet since boot" from "ring wrapped many times".
+// slowRing keeps the last keep slow queries, oldest first; total counts
+// every slow query ever recorded so a reader can tell "quiet since boot"
+// from "ring wrapped many times".
 type slowRing struct {
 	mu    sync.Mutex
 	keep  int
 	buf   []SlowQuery
-	next  int // write cursor into buf once it is full
 	total int64
 }
 
@@ -131,34 +120,26 @@ func newSlowRing(keep int) *slowRing {
 }
 
 func (r *slowRing) add(q SlowQuery) {
-	if r == nil || r.keep <= 0 {
+	if r.keep <= 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if len(r.buf) < r.keep {
-		r.buf = append(r.buf, q)
-		return
+	if len(r.buf) == r.keep {
+		r.buf = append(r.buf[:0], r.buf[1:]...)
 	}
-	r.buf[r.next] = q
-	r.next = (r.next + 1) % r.keep
+	r.buf = append(r.buf, q)
 }
 
 // snapshot returns the retained entries newest-first and the lifetime
 // slow-query count.
 func (r *slowRing) snapshot() (entries []SlowQuery, total int64) {
-	if r == nil {
-		return nil, 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	entries = make([]SlowQuery, 0, len(r.buf))
-	// buf is ordered oldest→newest starting at the write cursor once the
-	// ring has wrapped; walk it backwards to emit newest first.
-	for i := 0; i < len(r.buf); i++ {
-		idx := (r.next - 1 - i + len(r.buf)) % len(r.buf)
-		entries = append(entries, r.buf[idx])
+	entries = make([]SlowQuery, len(r.buf))
+	for i, q := range r.buf {
+		entries[len(r.buf)-1-i] = q
 	}
 	return entries, r.total
 }
@@ -172,7 +153,7 @@ type debugFlightsResponse struct {
 }
 
 // GET /debug/flights
-func (s *Server) handleDebugFlights(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleDebugFlights(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	flights := s.reg.flights.snapshot()
 	for i := range flights {
 		flights[i].Shard = s.reg.shardIndex(flights[i].Program)
@@ -195,11 +176,8 @@ type debugSlowResponse struct {
 }
 
 // GET /debug/slow
-func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleDebugSlow(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	entries, total := s.slow.snapshot()
-	if entries == nil {
-		entries = []SlowQuery{}
-	}
 	writeJSON(w, http.StatusOK, debugSlowResponse{
 		ThresholdUs: s.cfg.SlowQueryLog.Microseconds(),
 		Keep:        s.cfg.SlowQueryKeep,
@@ -213,7 +191,7 @@ type debugShardsResponse struct {
 }
 
 // GET /debug/shards
-func (s *Server) handleDebugShards(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleDebugShards(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	writeJSON(w, http.StatusOK, debugShardsResponse{Shards: s.reg.ShardStats()})
 }
 
@@ -235,31 +213,35 @@ type debugGraphResponse struct {
 
 // GET /debug/graph?id=PROGRAM[&q=QUERY] — the program's predicate
 // dependency condensation (internal/progan), and optionally the slice a
-// query would evaluate.
-func (s *Server) handleDebugGraph(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
+// query would evaluate. An evicted program recompiles on lookup, so the
+// request is admitted and dispatched like any other program route.
+func (s *Server) handleDebugGraph(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
+	id, q := r.URL.Query().Get("id"), r.URL.Query().Get("q")
 	if id == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing id parameter"})
 		return
 	}
-	ent, err := s.reg.Lookup(id)
-	if err != nil {
-		s.fail(w, "debug_graph", err)
-		return
-	}
-	resp := debugGraphResponse{
-		ID:       id,
-		Slicing:  ent.slicing,
-		Graph:    ent.db.GraphJSON(),
-		Rendered: ent.db.Graph(),
-	}
-	if q := r.URL.Query().Get("q"); q != "" {
-		info, err := ent.db.SliceFor(q)
+	var resp debugGraphResponse
+	if s.run(w, r, rm, id, func() error {
+		ent, err := s.reg.Lookup(id)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
+			return err
 		}
-		resp.Slice = &info
+		resp = debugGraphResponse{
+			ID:       id,
+			Slicing:  ent.slicing,
+			Graph:    ent.db.GraphJSON(),
+			Rendered: ent.db.Graph(),
+		}
+		if q != "" {
+			info, err := ent.db.SliceFor(q)
+			if err != nil {
+				return err
+			}
+			resp.Slice = &info
+		}
+		return nil
+	}) == nil {
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }

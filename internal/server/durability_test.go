@@ -72,7 +72,7 @@ func copyDir(t *testing.T, src string) string {
 // and snapshot cadence.
 func durableRegistry(t *testing.T, dir string, pol wal.Policy, snapshotEvery int) *Registry {
 	t.Helper()
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(4, 8, 0, newMetrics())
 	store, err := wal.Open(dir, wal.Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func recoverAndCompare(t *testing.T, dir, id, rules, facts string, batches []str
 	}
 	wantRev := id
 	for _, b := range batches {
-		wantRev = nextRev(wantRev, b)
+		wantRev = wal.NextRev(wantRev, b)
 	}
 	if seq != uint64(len(batches)) || rev != wantRev {
 		t.Fatalf("recovered cursor (%d, %s), want (%d, %s)", seq, rev, len(batches), wantRev)

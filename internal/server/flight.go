@@ -34,6 +34,25 @@ type flightKey struct {
 	limit   int  // answers only
 }
 
+// kind names the query operation: the route label in slow-query records
+// and the kind in /debug/flights.
+func (k flightKey) kind() string {
+	if k.answers {
+		return "answers"
+	}
+	return "ask"
+}
+
+// queryResult is what one evaluation produces; a flight shares it with
+// its joiners.
+type queryResult struct {
+	ent    *entry
+	result bool         // ask
+	ans    []tdd.Answer // answers
+	engine string
+	err    error
+}
+
 // flight is one in-progress evaluation. The leader fills the result
 // fields, then closes done; joiners block on done.
 type flight struct {
@@ -46,12 +65,9 @@ type flight struct {
 	started time.Time
 	joiners atomic.Int64
 
-	// Written by the leader before close(done), read-only afterwards.
-	ent    *entry
-	result bool
-	ans    []tdd.Answer
-	engine string
-	err    error
+	// res is written by the leader before close(done), read-only
+	// afterwards.
+	res queryResult
 }
 
 // flightGroup tracks in-flight evaluations by key. The zero value is
@@ -117,15 +133,11 @@ func (g *flightGroup) snapshot() []FlightSnapshot {
 	out := make([]FlightSnapshot, 0, len(g.m))
 	now := time.Now()
 	for _, f := range g.m {
-		kind := "ask"
-		if f.key.answers {
-			kind = "answers"
-		}
 		out = append(out, FlightSnapshot{
 			Program: f.key.id,
 			Rev:     f.key.rev,
 			Query:   f.key.query,
-			Kind:    kind,
+			Kind:    f.key.kind(),
 			Limit:   f.key.limit,
 			Joiners: f.joiners.Load(),
 			AgeUs:   now.Sub(f.started).Microseconds(),

@@ -25,16 +25,12 @@ type registerRequest struct {
 	Facts string `json:"facts,omitempty"`
 }
 
-type periodJSON struct {
-	Base int `json:"base"`
-	P    int `json:"p"`
-}
-
-type registerResponse struct {
-	ID              string     `json:"id"`
-	Rev             string     `json:"rev"`
-	Existing        bool       `json:"existing"`
-	Period          periodJSON `json:"period"`
+// programState is the tail register and facts responses share: the
+// program's certified period, specification size, and lint findings.
+// After an ingest the program is re-linted against the extended
+// database — the batch may have filled a predicate flagged undefined.
+type programState struct {
+	Period          PeriodInfo `json:"period"`
 	Representatives int        `json:"representatives"`
 	Facts           int        `json:"facts"`
 	// LintWarnings counts lint findings at warning severity or above,
@@ -43,6 +39,27 @@ type registerResponse struct {
 	// Lint is the full Tier-A diagnostic list, present when the request
 	// carried ?lint=1.
 	Lint *tdd.LintResult `json:"lint,omitempty"`
+}
+
+// state reports the entry's programState for a response to r.
+func (e *entry) state(r *http.Request) programState {
+	st := programState{
+		Period:          e.periodInfo(),
+		Representatives: e.reps,
+		Facts:           e.facts,
+		LintWarnings:    e.lint.Warnings(),
+	}
+	if wanted(r, "lint") {
+		st.Lint = &e.lint
+	}
+	return st
+}
+
+type registerResponse struct {
+	ID       string `json:"id"`
+	Rev      string `json:"rev"`
+	Existing bool   `json:"existing"`
+	programState
 }
 
 type factsRequest struct {
@@ -55,30 +72,25 @@ type factsResponse struct {
 	ID string `json:"id"`
 	// Rev is the program's new content revision; it advances with every
 	// ingested batch while the id stays the stable handle.
-	Rev             string     `json:"rev"`
-	NewFacts        int        `json:"new_facts"`
-	Duplicates      int        `json:"duplicates"`
-	Derived         int        `json:"derived"`
-	Recertified     bool       `json:"recertified"`
-	PeriodChanged   bool       `json:"period_changed"`
-	Period          periodJSON `json:"period"`
-	Representatives int        `json:"representatives"`
-	Facts           int        `json:"facts"`
-	// LintWarnings and Lint mirror registerResponse: the batch may have
-	// filled a predicate that was flagged undefined, or emptied nothing —
-	// the program is re-linted against the extended database.
-	LintWarnings int             `json:"lint_warnings"`
-	Lint         *tdd.LintResult `json:"lint,omitempty"`
-	ElapsedUs    int64           `json:"elapsed_us"`
+	Rev           string `json:"rev"`
+	NewFacts      int    `json:"new_facts"`
+	Duplicates    int    `json:"duplicates"`
+	Derived       int    `json:"derived"`
+	Recertified   bool   `json:"recertified"`
+	PeriodChanged bool   `json:"period_changed"`
+	programState
+	ElapsedUs int64 `json:"elapsed_us"`
 }
 
 type askRequest struct {
 	Query string `json:"query"`
 }
 
-type askResponse struct {
-	Result    bool   `json:"result"`
-	Engine    string `json:"engine"` // "spec" (cache fast path) or "bt" (fallback)
+// queryMeta is the tail ask and answers responses share.
+type queryMeta struct {
+	// Engine names the path that answered: "spec" (cache fast path),
+	// "bt" (fallback), or "sliced" (relevance slice).
+	Engine    string `json:"engine"`
 	ElapsedUs int64  `json:"elapsed_us"`
 	// Coalesced marks a response served by joining an identical in-flight
 	// evaluation rather than running its own.
@@ -92,9 +104,14 @@ type askResponse struct {
 	// time, bucketed by timestamp stratum — present when the request
 	// carried ?profile=1. It covers the program's lifetime evaluation
 	// (compile-time certification plus every ingest), not just this
-	// request: a warm ask answers from the spec cache and does no join
+	// request: a warm query answers from the spec cache and does no join
 	// work of its own.
 	Profile *tdd.ProfileReport `json:"profile,omitempty"`
+}
+
+type askResponse struct {
+	Result bool `json:"result"`
+	queryMeta
 }
 
 // traceJSON is the ?trace=1 response block: the merged phase tree plus
@@ -146,14 +163,8 @@ type answersResponse struct {
 	// Rewrite is the specification's rewrite rule; each temporal binding
 	// t stands for the infinite family reachable by running the rule
 	// backwards (t, t+p, t+2p, ... once t >= base).
-	Rewrite   string     `json:"rewrite"`
-	Engine    string     `json:"engine"`
-	ElapsedUs int64      `json:"elapsed_us"`
-	Coalesced bool       `json:"coalesced,omitempty"`
-	TraceID   string     `json:"trace_id,omitempty"`
-	Trace     *traceJSON `json:"trace,omitempty"`
-	// Profile mirrors askResponse.Profile (?profile=1).
-	Profile *tdd.ProfileReport `json:"profile,omitempty"`
+	Rewrite string `json:"rewrite"`
+	queryMeta
 }
 
 type listResponse struct {
@@ -183,27 +194,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // both with Retry-After so well-behaved clients and load balancers pace
 // themselves. Timeouts become 503; unknown programs 404; everything
 // else is a client error 400.
-func (s *Server) fail(w http.ResponseWriter, route string, err error) {
-	rm := s.metrics.route(route)
+func (s *Server) fail(w http.ResponseWriter, rm *routeMetrics, err error) {
 	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, ErrShardSaturated):
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
-		s.metrics.Shed.Add(1)
-		rm.Sheds.Add(1)
-		err = fmt.Errorf("overloaded, retry later: %w", err)
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, ErrShardSaturated), errors.Is(err, ErrQueueFull):
 		status = http.StatusServiceUnavailable
+		if errors.Is(err, ErrShardSaturated) {
+			status = http.StatusTooManyRequests
+		}
 		w.Header().Set("Retry-After", "1")
-		s.metrics.Shed.Add(1)
 		rm.Sheds.Add(1)
 		err = fmt.Errorf("overloaded, retry later: %w", err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusServiceUnavailable
-		s.metrics.Timeouts.Add(1)
 		rm.Timeouts.Add(1)
 		err = fmt.Errorf("request timed out or was canceled: %w", err)
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, wal.ErrClosed):
@@ -223,46 +228,39 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// dispatchTo runs fn on the worker pool under the per-request deadline,
-// admitting it through id's shard gate first when shedding is enabled.
-// Under "shed" both admission steps fast-fail — a saturated shard or a
-// full queue rejects in microseconds instead of blocking the connection
-// until its deadline; under "block" the legacy wait-for-a-slot
-// semantics apply.
-func (s *Server) dispatchTo(r *http.Request, id string, fn func()) error {
-	ctx := r.Context()
+// requestContext bounds r's context by the per-request deadline.
+func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+		return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	}
-	if s.cfg.Shed != "shed" {
-		return s.pool.Do(ctx, fn)
-	}
-	sh := s.reg.shardFor(id)
-	if !sh.tryAcquire() {
-		return ErrShardSaturated
-	}
-	defer sh.release()
-	return s.pool.TryDo(ctx, fn)
+	return context.WithCancel(r.Context())
 }
 
-// awaitFlight blocks a coalesced request until its flight leader's
-// evaluation resolves, honoring the joiner's own deadline. Joiners hold
-// no worker, no queue slot, and no shard capacity — that is the point.
-func (s *Server) awaitFlight(r *http.Request, f *flight) error {
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+// run is the one dispatch path of every program-scoped route. It admits
+// work through program id's shard gate and the worker pool — both
+// fast-fail, so a saturated shard or a full queue rejects in
+// microseconds instead of holding the connection until its deadline —
+// runs it under the per-request deadline, and writes any failure (the
+// admission verdict, the deadline, or work's own error) through fail.
+// It returns that failure, nil when work succeeded; on a non-nil return
+// the response is written and work may still be running on an abandoned
+// worker, so the caller must not read what it writes.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, rm *routeMetrics, id string, work func() error) error {
+	var werr error
+	err := ErrShardSaturated
+	if sh := s.reg.shardFor(id); sh.tryAcquire() {
+		ctx, cancel := s.requestContext(r)
+		err = s.pool.TryDo(ctx, func() { werr = work() })
+		cancel()
+		sh.release()
 	}
-	select {
-	case <-f.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	if err == nil {
+		err = werr
 	}
+	if err != nil {
+		s.fail(w, rm, err)
+	}
+	return err
 }
 
 // rejectReadOnly rejects a mutating request on a follower: the replica's
@@ -279,63 +277,45 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) bool {
 }
 
 // POST /programs
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
 	if s.rejectReadOnly(w) {
 		return
 	}
 	var req registerRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, "register", err)
+		s.fail(w, rm, err)
 		return
 	}
 	if req.Unit == "" && req.Rules == "" {
-		s.fail(w, "register", errors.New(`need "unit" or "rules" (+ optional "facts")`))
+		s.fail(w, rm, errors.New(`need "unit" or "rules" (+ optional "facts")`))
 		return
 	}
 	if req.Unit != "" && (req.Rules != "" || req.Facts != "") {
-		s.fail(w, "register", errors.New(`"unit" excludes "rules"/"facts"`))
+		s.fail(w, rm, errors.New(`"unit" excludes "rules"/"facts"`))
 		return
 	}
 	var (
 		ent      *entry
 		existing bool
-		err      error
 	)
 	// The content hash is the registry handle AND the shard key, so the
 	// admission gate can be consulted before any compile work happens.
-	id := hashSource(req.Unit, req.Rules, req.Facts)
-	if derr := s.dispatchTo(r, id, func() {
+	id := wal.HashSource(req.Unit, req.Rules, req.Facts)
+	if s.run(w, r, rm, id, func() (err error) {
 		ent, existing, err = s.reg.Register(req.Unit, req.Rules, req.Facts)
-	}); derr != nil {
-		s.fail(w, "register", derr)
-		return
-	}
-	if err != nil {
-		s.fail(w, "register", err)
+		return err
+	}) != nil {
 		return
 	}
 	status := http.StatusCreated
 	if existing {
 		status = http.StatusOK
 	}
-	resp := registerResponse{
-		ID:              ent.src.id,
-		Rev:             ent.src.rev,
-		Existing:        existing,
-		Period:          periodJSON{Base: ent.period.Base, P: ent.period.P},
-		Representatives: ent.reps,
-		Facts:           ent.facts,
-		LintWarnings:    ent.lint.Warnings(),
-	}
-	if lintWanted(r) {
-		res := ent.Lint()
-		resp.Lint = &res
-	}
-	writeJSON(w, status, resp)
+	writeJSON(w, status, registerResponse{ID: ent.src.id, Rev: ent.src.rev, Existing: existing, programState: ent.state(r)})
 }
 
 // GET /programs
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	writeJSON(w, http.StatusOK, listResponse{Programs: s.reg.IDs()})
 }
 
@@ -344,75 +324,50 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 // through the evaluated model, re-certified, and published atomically;
 // concurrent queries see the program either entirely before or entirely
 // after the batch. Writers on one program are serialized.
-func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
 	if s.rejectReadOnly(w) {
 		return
 	}
 	var req factsRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, "facts", err)
+		s.fail(w, rm, err)
 		return
 	}
 	if req.Facts == "" {
-		s.fail(w, "facts", errors.New(`need "facts"`))
+		s.fail(w, rm, errors.New(`need "facts"`))
 		return
 	}
 	var (
 		ent *entry
 		res tdd.AssertResult
-		err error
 	)
 	id := r.PathValue("id")
 	start := time.Now()
-	if derr := s.dispatchTo(r, id, func() {
+	if s.run(w, r, rm, id, func() (err error) {
 		ent, res, err = s.reg.Ingest(id, req.Facts)
-	}); derr != nil {
-		s.fail(w, "facts", derr)
+		return err
+	}) != nil {
 		return
 	}
-	if err != nil {
-		s.fail(w, "facts", err)
-		return
-	}
-	resp := factsResponse{
-		ID:              ent.src.id,
-		Rev:             ent.src.rev,
-		NewFacts:        res.NewFacts,
-		Duplicates:      res.Duplicates,
-		Derived:         res.Derived,
-		Recertified:     res.Recertified,
-		PeriodChanged:   res.PeriodChanged,
-		Period:          periodJSON{Base: ent.period.Base, P: ent.period.P},
-		Representatives: ent.reps,
-		Facts:           ent.facts,
-		LintWarnings:    ent.lint.Warnings(),
-		ElapsedUs:       time.Since(start).Microseconds(),
-	}
-	if lintWanted(r) {
-		lres := ent.Lint()
-		resp.Lint = &lres
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, factsResponse{
+		ID:            ent.src.id,
+		Rev:           ent.src.rev,
+		NewFacts:      res.NewFacts,
+		Duplicates:    res.Duplicates,
+		Derived:       res.Derived,
+		Recertified:   res.Recertified,
+		PeriodChanged: res.PeriodChanged,
+		programState:  ent.state(r),
+		ElapsedUs:     time.Since(start).Microseconds(),
+	})
 }
 
-// traceWanted reports whether the request opted into an inline phase
-// tree via ?trace=1.
-func traceWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("trace")
-	return v == "1" || v == "true"
-}
-
-// lintWanted reports whether the request opted into the full diagnostic
-// list via ?lint=1 (the warning count is always present).
-func lintWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("lint")
-	return v == "1" || v == "true"
-}
-
-// profileWanted reports whether the request opted into the inline
-// EXPLAIN ANALYZE join-cost profile via ?profile=1.
-func profileWanted(r *http.Request) bool {
-	v := r.URL.Query().Get("profile")
+// wanted reports whether the request opted into an optional response
+// block via ?param=1: trace (inline phase tree), lint (full diagnostic
+// list; the warning count is always present), or profile (the EXPLAIN
+// ANALYZE join-cost profile).
+func wanted(r *http.Request, param string) bool {
+	v := r.URL.Query().Get(param)
 	return v == "1" || v == "true"
 }
 
@@ -443,249 +398,181 @@ func (s *Server) maybeLogSlow(route, id, q string, elapsed time.Duration, tr *ob
 	)
 }
 
-// POST /programs/{id}/ask
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	var req askRequest
+// decodeQuery reads an ask (answers=false) or answers request body into
+// the query part of a flight key. The two bodies stay distinct types so
+// an ask carrying a limit is still rejected as an unknown field.
+func decodeQuery(w http.ResponseWriter, r *http.Request, answers bool) (flightKey, error) {
+	if !answers {
+		var req askRequest
+		err := decodeBody(w, r, &req)
+		return flightKey{query: req.Query}, err
+	}
+	var req answersRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, "ask", err)
-		return
+		return flightKey{}, err
 	}
-	var (
-		resp askResponse
-		ent  *entry
-		tr   *obs.Trace
-		err  error
-	)
-	// Capture request-derived values before dispatch: on timeout the
-	// worker may still run the closure after this handler has returned,
-	// when r is no longer safe to touch.
-	id := r.PathValue("id")
-	wantTrace := traceWanted(r)
-	// The profile is program-lifetime state read at response-assembly
-	// time, so unlike a trace it does not force the request out of the
-	// coalescing path.
-	wantProfile := profileWanted(r)
-	traceOn := wantTrace || s.cfg.SlowQueryLog > 0
-	tid := obs.IDFrom(r.Context())
-	start := time.Now()
-	// The revision read is one shard map lookup; it doubles as the 404
-	// fast path and pins the coalescing key — identical asks coalesce
-	// only within one content revision, so an ingest that moves the
-	// program immediately stops answers from riding the stale flight.
-	_, rev, known := s.reg.SeqRev(id)
-	if !known {
-		s.fail(w, "ask", ErrNotFound)
-		return
+	if req.Limit < 0 {
+		return flightKey{}, errors.New("limit must be >= 0")
 	}
-	eval := func() {
-		ent, err = s.reg.Lookup(id)
+	// The limit participates in the key: answers with different limits
+	// are different result sets and must not share a flight.
+	return flightKey{query: req.Query, answers: true, limit: req.Limit}, nil
+}
+
+// handleQuery returns the one query pipeline behind POST
+// /programs/{id}/ask (answers=false: a closed query, one bool) and
+// POST /programs/{id}/answers (answers=true: up to limit bindings).
+// Untraced requests coalesce: identical concurrent queries on one
+// program revision share a single evaluation (see flight.go).
+func (s *Server) handleQuery(answers bool) handler {
+	return func(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
+		key, err := decodeQuery(w, r, answers)
 		if err != nil {
+			s.fail(w, rm, err)
 			return
 		}
-		// The trace starts inside the dispatched closure so queue wait
-		// does not smear into the first phase's duration.
-		if traceOn {
-			tr = obs.NewWithID(tid)
+		// Capture request-derived values before dispatch: on timeout the
+		// worker may still run the closure after this handler has
+		// returned, when r is no longer safe to touch.
+		key.id = r.PathValue("id")
+		wantTrace := wanted(r, "trace")
+		// The profile is program-lifetime state read at response-assembly
+		// time, so unlike a trace it does not force the request out of
+		// the coalescing path.
+		wantProfile := wanted(r, "profile")
+		traceOn := wantTrace || s.cfg.SlowQueryLog > 0
+		tid := obs.IDFrom(r.Context())
+		start := time.Now()
+		// The revision read is one shard map lookup; it doubles as the 404
+		// fast path and pins the coalescing key — identical queries
+		// coalesce only within one content revision, so an ingest that
+		// moves the program immediately stops answers from riding the
+		// stale flight.
+		var known bool
+		if _, key.rev, known = s.reg.SeqRev(key.id); !known {
+			s.fail(w, rm, ErrNotFound)
+			return
 		}
-		resp.Result, resp.Engine, err = ent.ask(req.Query, s.metrics, tr)
-	}
-	switch {
-	case traceOn:
+		var (
+			res       queryResult
+			tr        *obs.Trace
+			coalesced bool
+		)
+		eval := func() error {
+			if res.ent, res.err = s.reg.Lookup(key.id); res.err != nil {
+				return res.err
+			}
+			// The trace starts inside the dispatched closure so queue wait
+			// does not smear into the first phase's duration.
+			if traceOn {
+				tr = obs.NewWithID(tid)
+			}
+			res = res.ent.query(key, s.metrics, tr)
+			return res.err
+		}
 		// A trace documents one evaluation, so a traced request owns one:
 		// it never joins, and nothing joins it (its result is never
 		// published to the flight group).
-		if derr := s.dispatchTo(r, id, eval); derr != nil {
-			s.fail(w, "ask", derr)
-			return
+		var (
+			f      *flight
+			leader bool
+		)
+		if !traceOn {
+			f, leader = s.reg.flights.join(key)
 		}
-	default:
-		key := flightKey{id: id, rev: rev, query: req.Query}
-		f, leader := s.reg.flights.join(key)
-		if leader {
+		switch {
+		case f == nil:
+			err = s.run(w, r, rm, key.id, eval)
+		case leader:
 			s.metrics.FlightLeaders.Add(1)
-			derr := s.dispatchTo(r, id, eval)
-			if derr != nil {
-				// The closure may still be running on an abandoned worker
-				// slot; publish only the dispatch error, never its fields.
-				f.err = derr
-			} else {
-				f.ent, f.result, f.engine, f.err = ent, resp.Result, resp.Engine, err
+			err = s.run(w, r, rm, key.id, eval)
+			// On a dispatch error the closure may still be running on an
+			// abandoned worker slot; publish only the error, never res.
+			f.res = queryResult{err: err}
+			if err == nil {
+				f.res = res
 			}
 			s.reg.flights.finish(key, f)
-			if derr != nil {
-				s.fail(w, "ask", derr)
-				return
-			}
-		} else {
+		default:
 			s.metrics.Coalesced.Add(1)
-			if jerr := s.awaitFlight(r, f); jerr != nil {
-				s.fail(w, "ask", jerr)
-				return
+			coalesced = true
+			if err = s.awaitFlight(r, f); err == nil {
+				res = f.res
+				err = res.err
 			}
-			ent, resp.Result, resp.Engine, err = f.ent, f.result, f.engine, f.err
-			resp.Coalesced = true
+			if err != nil {
+				s.fail(w, rm, err)
+			}
 		}
-	}
-	if err != nil {
-		s.fail(w, "ask", err)
-		return
-	}
-	elapsed := time.Since(start)
-	resp.ElapsedUs = elapsed.Microseconds()
-	resp.TraceID = tid
-	if wantTrace {
-		resp.Trace = mergedTrace(ent.CompileTrace(), tr.Snapshot(), ent.db.EngineDetail().Rules)
-	}
-	if wantProfile {
-		resp.Profile = ent.db.ProfileReport()
-	}
-	s.maybeLogSlow("ask", id, req.Query, elapsed, tr)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// POST /programs/{id}/answers
-func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
-	var req answersRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, "answers", err)
-		return
-	}
-	if req.Limit < 0 {
-		s.fail(w, "answers", errors.New("limit must be >= 0"))
-		return
-	}
-	var (
-		ans       []tdd.Answer
-		engine    string
-		ent       *entry
-		tr        *obs.Trace
-		err       error
-		coalesced bool
-	)
-	id := r.PathValue("id")
-	wantTrace := traceWanted(r)
-	wantProfile := profileWanted(r)
-	traceOn := wantTrace || s.cfg.SlowQueryLog > 0
-	tid := obs.IDFrom(r.Context())
-	start := time.Now()
-	_, rev, known := s.reg.SeqRev(id)
-	if !known {
-		s.fail(w, "answers", ErrNotFound)
-		return
-	}
-	eval := func() {
-		ent, err = s.reg.Lookup(id)
 		if err != nil {
 			return
 		}
-		if traceOn {
-			tr = obs.NewWithID(tid)
+		elapsed := time.Since(start)
+		meta := queryMeta{Engine: res.engine, ElapsedUs: elapsed.Microseconds(), Coalesced: coalesced, TraceID: tid}
+		if wantTrace {
+			meta.Trace = mergedTrace(res.ent.CompileTrace(), tr.Snapshot(), res.ent.db.EngineDetail().Rules)
 		}
-		ans, engine, err = ent.answers(req.Query, req.Limit, s.metrics, tr)
-	}
-	switch {
-	case traceOn:
-		if derr := s.dispatchTo(r, id, eval); derr != nil {
-			s.fail(w, "answers", derr)
+		if wantProfile {
+			meta.Profile = res.ent.db.ProfileReport()
+		}
+		s.maybeLogSlow(key.kind(), key.id, key.query, elapsed, tr)
+		if !answers {
+			writeJSON(w, http.StatusOK, askResponse{Result: res.result, queryMeta: meta})
 			return
 		}
-	default:
-		// The limit participates in the key: answers with different limits
-		// are different result sets and must not share a flight.
-		key := flightKey{id: id, rev: rev, query: req.Query, answers: true, limit: req.Limit}
-		f, leader := s.reg.flights.join(key)
-		if leader {
-			s.metrics.FlightLeaders.Add(1)
-			derr := s.dispatchTo(r, id, eval)
-			if derr != nil {
-				f.err = derr
-			} else {
-				f.ent, f.ans, f.engine, f.err = ent, ans, engine, err
-			}
-			s.reg.flights.finish(key, f)
-			if derr != nil {
-				s.fail(w, "answers", derr)
-				return
-			}
-		} else {
-			s.metrics.Coalesced.Add(1)
-			if jerr := s.awaitFlight(r, f); jerr != nil {
-				s.fail(w, "answers", jerr)
-				return
-			}
-			ent, ans, engine, err = f.ent, f.ans, f.engine, f.err
-			coalesced = true
+		out := answersResponse{
+			Answers:   make([]answerJSON, 0, len(res.ans)),
+			Count:     len(res.ans),
+			Rewrite:   fmt.Sprintf("%d -> %d", res.ent.period.Base+res.ent.period.P, res.ent.period.Base),
+			queryMeta: meta,
 		}
+		for _, a := range res.ans {
+			out.Answers = append(out.Answers, answerJSON{Temporal: a.Temporal, NonTemporal: a.NonTemporal})
+		}
+		writeJSON(w, http.StatusOK, out)
 	}
-	if err != nil {
-		s.fail(w, "answers", err)
-		return
+}
+
+// awaitFlight blocks a coalesced request until its flight leader's
+// evaluation resolves, honoring the joiner's own deadline. Joiners hold
+// no worker, no queue slot, and no shard capacity — that is the point.
+func (s *Server) awaitFlight(r *http.Request, f *flight) error {
+	ctx, cancel := s.requestContext(r)
+	defer cancel()
+	select {
+	case <-f.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	elapsed := time.Since(start)
-	resp := answersResponse{
-		Answers:   make([]answerJSON, 0, len(ans)),
-		Count:     len(ans),
-		Rewrite:   fmt.Sprintf("%d -> %d", ent.period.Base+ent.period.P, ent.period.Base),
-		Engine:    engine,
-		ElapsedUs: elapsed.Microseconds(),
-		Coalesced: coalesced,
-		TraceID:   tid,
-	}
-	if wantTrace {
-		resp.Trace = mergedTrace(ent.CompileTrace(), tr.Snapshot(), ent.db.EngineDetail().Rules)
-	}
-	if wantProfile {
-		resp.Profile = ent.db.ProfileReport()
-	}
-	for _, a := range ans {
-		resp.Answers = append(resp.Answers, answerJSON{Temporal: a.Temporal, NonTemporal: a.NonTemporal})
-	}
-	s.maybeLogSlow("answers", id, req.Query, elapsed, tr)
-	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookup is the dispatched body of the read-only program routes: a warm
+// lookup, or a compile when the program was evicted.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, rm *routeMetrics, id string) (ent *entry, ok bool) {
+	err := s.run(w, r, rm, id, func() (err error) {
+		ent, err = s.reg.Lookup(id)
+		return err
+	})
+	return ent, err == nil
 }
 
 // GET /programs/{id}/period
-func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request) {
-	var (
-		ent *entry
-		err error
-	)
-	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
-		ent, err = s.reg.Lookup(id)
-	}); derr != nil {
-		s.fail(w, "period", derr)
-		return
+func (s *Server) handlePeriod(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
+	if ent, ok := s.lookup(w, r, rm, r.PathValue("id")); ok {
+		writeJSON(w, http.StatusOK, ent.periodInfo())
 	}
-	if err != nil {
-		s.fail(w, "period", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, periodJSON{Base: ent.period.Base, P: ent.period.P})
 }
 
 // GET /programs/{id}/spec — the exported relational specification, the
 // exact JSON tdd.ImportSpec accepts, so clients can serve queries
 // locally without the rules or the server.
-func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	var (
-		ent *entry
-		err error
-	)
-	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
-		ent, err = s.reg.Lookup(id)
-	}); derr != nil {
-		s.fail(w, "spec", derr)
-		return
+func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
+	if ent, ok := s.lookup(w, r, rm, r.PathValue("id")); ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(ent.specJSON) //nolint:errcheck
 	}
-	if err != nil {
-		s.fail(w, "spec", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(ent.specJSON) //nolint:errcheck
 }
 
 // GET /programs/{id}/wal — the replication feed: the batch history past
@@ -693,95 +580,40 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 // sources when the cursor is 0 so an empty follower can bootstrap. The
 // feed is built from the registry's in-memory rev chain, so any server —
 // durable or not — can lead.
-func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request, rm *routeMetrics) {
 	var from uint64
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.fail(w, "wal", fmt.Errorf("bad from cursor %q: %w", v, err))
+			s.fail(w, rm, fmt.Errorf("bad from cursor %q: %w", v, err))
 			return
 		}
 		from = n
 	}
-	var (
-		feed WalFeed
-		err  error
-	)
+	var feed WalFeed
 	id := r.PathValue("id")
-	if derr := s.dispatchTo(r, id, func() {
+	if s.run(w, r, rm, id, func() (err error) {
 		feed, err = s.reg.Feed(id, from)
-	}); derr != nil {
-		s.fail(w, "wal", derr)
-		return
+		return err
+	}) == nil {
+		writeJSON(w, http.StatusOK, feed)
 	}
-	if err != nil {
-		s.fail(w, "wal", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, feed)
 }
 
 // GET /healthz
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// durabilityStats converts the store's per-program state to the metrics
-// wire form (nil without a data directory).
-func (s *Server) durabilityStats() map[string]DurabilityStats {
-	stats := s.reg.DurabilityStats()
-	if stats == nil {
-		return nil
-	}
-	out := make(map[string]DurabilityStats, len(stats))
-	for id, st := range stats {
-		out[id] = DurabilityStats{
-			Seq:            st.Seq,
-			Rev:            st.Rev,
-			DurableSeq:     st.DurableSeq,
-			DurableRev:     st.DurableRev,
-			SnapshotSeq:    st.SnapshotSeq,
-			SnapshotAgeSec: st.SnapshotAge.Seconds(),
-			WalBytes:       st.Bytes,
-		}
-	}
-	return out
-}
-
-// followerSnapshot reports the replication section (nil unless
-// following).
-func (s *Server) followerSnapshot() *FollowerSnapshot {
-	if s.follower == nil {
-		return nil
-	}
-	return &FollowerSnapshot{
-		Leader:  s.cfg.Follow,
-		Polls:   s.metrics.FollowerPolls.Load(),
-		Records: s.metrics.FollowerRecords.Load(),
-		Errors:  s.metrics.FollowerErrors.Load(),
-		Lag:     s.metrics.FollowerLag.Load(),
-	}
-}
-
 // GET /metrics
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.metrics.Snapshot()
-	snap.Programs = s.reg.WarmStats()
-	for _, p := range snap.Programs {
-		snap.LintWarnings += int64(p.LintWarnings)
-	}
-	snap.QueueDepth = int64(s.pool.Depth())
-	snap.QueueCapacity = int64(s.pool.Capacity())
-	snap.Shards = s.reg.ShardStats()
-	snap.Durability = s.durabilityStats()
-	snap.Follower = s.followerSnapshot()
-	writeJSON(w, http.StatusOK, snap)
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
-// GET /metrics.prom — the same counters in Prometheus text exposition,
+// GET /metrics.prom — the same snapshot in Prometheus text exposition,
 // for scrape-based monitoring.
-func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request, _ *routeMetrics) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w, s.reg.WarmStats(), s.durabilityStats(),
-		s.pool.Depth(), s.pool.Capacity(), s.reg.ShardStats())
+	snap := s.snapshot()
+	writePrometheus(w, &snap)
 }

@@ -213,7 +213,7 @@ func TestIngestMetrics(t *testing.T) {
 // not overwrite the cache with its stale base-only entry. publish is the
 // exact critical section both racing Registers funnel through.
 func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(4, 8, 0, newMetrics())
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -240,12 +240,11 @@ func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := nextRev(id, "even(100).\n"); cur.Rev() != want {
+	if want := wal.NextRev(id, "even(100).\n"); cur.Rev() != want {
 		t.Fatalf("served rev %s, want %s — cache clobbered by stale registration", cur.Rev(), want)
 	}
-	got, _, err := cur.ask("even(100)", reg.metrics, nil)
-	if err != nil || !got {
-		t.Fatalf("ingested fact lost after duplicate registration: %v %v", got, err)
+	if res := cur.query(flightKey{query: "even(100)"}, reg.metrics, nil); res.err != nil || !res.result {
+		t.Fatalf("ingested fact lost after duplicate registration: %v %v", res.result, res.err)
 	}
 	// And the registered source agrees, so the next Ingest chains off the
 	// full history.
@@ -259,7 +258,7 @@ func TestRegisterRaceDoesNotClobberIngestedState(t *testing.T) {
 // before anything is ingested or published — a diverged model is never
 // served, not even transiently.
 func TestApplyReplicatedRejectsDivergentRecordPrePublish(t *testing.T) {
-	reg := NewRegistry(4, 8, 0, newMetrics(routeNames))
+	reg := NewRegistry(4, 8, 0, newMetrics())
 	ent, _, err := reg.Register(evenUnit, "", "")
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +284,7 @@ func TestApplyReplicatedRejectsDivergentRecordPrePublish(t *testing.T) {
 	}
 
 	// A record that does continue the chain applies normally.
-	good := wal.Record{Seq: 1, Prev: id, Rev: nextRev(id, "even(50).\n"), Batch: "even(50).\n"}
+	good := wal.Record{Seq: 1, Prev: id, Rev: wal.NextRev(id, "even(50).\n"), Batch: "even(50).\n"}
 	if err := reg.ApplyReplicated(id, good); err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,24 @@ type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
 	MeanUs  float64          `json:"mean_us"`
 	Buckets map[string]int64 `json:"buckets,omitempty"`
+
+	// cumulative and sumUs are the Prometheus view of the same counts:
+	// running per-bucket totals (one per bound plus +Inf) and the exact
+	// sum in microseconds.
+	cumulative [len(bucketBoundsMicros) + 1]int64
+	sumUs      int64
 }
 
 func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Buckets: make(map[string]int64)}
+	s := HistogramSnapshot{Count: h.count.Load(), Buckets: make(map[string]int64), sumUs: h.sumMicros.Load()}
 	if s.Count > 0 {
-		s.MeanUs = float64(h.sumMicros.Load()) / float64(s.Count)
+		s.MeanUs = float64(s.sumUs) / float64(s.Count)
 	}
+	var running int64
 	for i := range h.buckets {
 		n := h.buckets[i].Load()
+		running += n
+		s.cumulative[i] = running
 		if n == 0 {
 			continue
 		}
@@ -66,18 +75,6 @@ func (h *histogram) snapshot() HistogramSnapshot {
 
 func formatMicros(us int64) string {
 	return "le_" + time.Duration(us*int64(time.Microsecond)).String()
-}
-
-// cumulative returns the Prometheus view of the histogram: per-bucket
-// cumulative counts (one per bound plus the +Inf catch-all), the total
-// observation count, and the sum in microseconds.
-func (h *histogram) cumulative() (buckets [len(bucketBoundsMicros) + 1]int64, count, sumUs int64) {
-	var running int64
-	for i := range h.buckets {
-		running += h.buckets[i].Load()
-		buckets[i] = running
-	}
-	return buckets, h.count.Load(), h.sumMicros.Load()
 }
 
 // routeMetrics instruments one route.
@@ -99,21 +96,18 @@ type RouteSnapshot struct {
 }
 
 // Metrics is the server's observability state: request counters and
-// latency histograms per route, cache and engine counters, and an
-// in-flight gauge. All fields are updated with atomics; a snapshot is
-// served at GET /metrics.
+// latency histograms per route, cache and engine counters. All fields
+// are updated with atomics; Server.snapshot reads them for GET /metrics
+// and GET /metrics.prom. The server-wide request, error, shed, and
+// timeout totals are sums over the routes, and the in-flight gauge is
+// the size of the in-flight request table, so neither is counted twice.
 type Metrics struct {
-	Requests    atomic.Int64 // all requests, any route
-	Errors      atomic.Int64 // responses with status >= 400
-	InFlight    atomic.Int64 // currently executing requests
-	Timeouts    atomic.Int64 // requests that hit the per-request deadline
 	CacheHits   atomic.Int64 // spec-cache lookups answered warm
 	CacheMisses atomic.Int64 // spec-cache lookups that had to (re)compile
 	CacheEvict  atomic.Int64 // entries displaced by the LRU policy
 	Fallbacks   atomic.Int64 // queries the spec path failed and BT answered
 
-	// Admission and coalescing counters (see shard.go, flight.go).
-	Shed          atomic.Int64 // requests rejected by admission instead of queued
+	// Coalescing counters (see flight.go).
 	Coalesced     atomic.Int64 // asks that joined an in-flight identical evaluation
 	FlightLeaders atomic.Int64 // coalescable evaluations actually run
 
@@ -139,21 +133,13 @@ type Metrics struct {
 	// are created, read by every snapshot.
 	start time.Time
 
+	// routes holds one slot per route, filled by Server.route before the
+	// server starts serving and read-only afterwards.
 	routes map[string]*routeMetrics
-	// orphan absorbs updates for route names missing from routes, so a
-	// route registered without a metrics slot degrades to uncounted
-	// rather than a nil dereference on the request path.
-	orphan routeMetrics
 }
 
-// newMetrics pre-creates the per-route slots so handler-path updates are
-// lock-free map reads.
-func newMetrics(routes []string) *Metrics {
-	m := &Metrics{start: time.Now(), routes: make(map[string]*routeMetrics, len(routes))}
-	for _, r := range routes {
-		m.routes[r] = &routeMetrics{}
-	}
-	return m
+func newMetrics() *Metrics {
+	return &Metrics{start: time.Now(), routes: make(map[string]*routeMetrics)}
 }
 
 // BuildInfo identifies the running binary in /metrics and as the
@@ -164,32 +150,25 @@ type BuildInfo struct {
 	Revision  string `json:"revision"`
 }
 
-var (
-	buildInfoOnce sync.Once
-	buildInfoVal  BuildInfo
-)
-
 // binaryBuildInfo reads the module and VCS identity stamped into the
 // binary, once; "unknown" fields mean the binary was built without VCS
 // metadata (go test, go run).
-func binaryBuildInfo() BuildInfo {
-	buildInfoOnce.Do(func() {
-		buildInfoVal = BuildInfo{GoVersion: runtime.Version(), Version: "unknown", Revision: "unknown"}
-		bi, ok := debug.ReadBuildInfo()
-		if !ok {
-			return
+var binaryBuildInfo = sync.OnceValue(func() BuildInfo {
+	b := BuildInfo{GoVersion: runtime.Version(), Version: "unknown", Revision: "unknown"}
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return b
+	}
+	if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
+		b.Version = bi.Main.Version
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "vcs.revision" && s.Value != "" {
+			b.Revision = s.Value
 		}
-		if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
-			buildInfoVal.Version = bi.Main.Version
-		}
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				buildInfoVal.Revision = s.Value
-			}
-		}
-	})
-	return buildInfoVal
-}
+	}
+	return b
+})
 
 // RuntimeSnapshot is the Go-runtime section of /metrics: scheduler and
 // heap health at snapshot time.
@@ -220,13 +199,6 @@ func runtimeSnapshot() RuntimeSnapshot {
 	return rs
 }
 
-func (m *Metrics) route(name string) *routeMetrics {
-	if rm, ok := m.routes[name]; ok {
-		return rm
-	}
-	return &m.orphan
-}
-
 // MetricsSnapshot is the GET /metrics response body.
 type MetricsSnapshot struct {
 	// Build and process identity: what binary this is and how long it has
@@ -252,14 +224,12 @@ type MetricsSnapshot struct {
 	Coalesced     int64 `json:"coalesced_requests"`
 	FlightLeaders int64 `json:"flight_leaders"`
 	// QueueDepth/QueueCapacity gauge the shared worker-pool queue;
-	// Shards carries each lock domain's tables and admission gate. All
-	// filled in by the metrics handler.
+	// Shards carries each lock domain's tables and admission gate.
 	QueueDepth    int64           `json:"queue_depth"`
 	QueueCapacity int64           `json:"queue_capacity"`
 	Shards        []ShardSnapshot `json:"shards,omitempty"`
 	// LintWarnings gauges lint findings at warning severity or above,
-	// summed over the warm programs; filled in by the metrics handler
-	// alongside Programs.
+	// summed over the warm programs.
 	LintWarnings int64                    `json:"lint_warnings"`
 	WalAppends   int64                    `json:"wal_appends"`
 	WalFsyncs    int64                    `json:"wal_fsyncs"`
@@ -268,12 +238,10 @@ type MetricsSnapshot struct {
 	FsyncLatency HistogramSnapshot        `json:"wal_fsync_latency"`
 	Follower     *FollowerSnapshot        `json:"follower,omitempty"`
 	Routes       map[string]RouteSnapshot `json:"routes"`
-	// Programs holds per-program engine counters for every warm program;
-	// filled in by the metrics handler from the registry.
+	// Programs holds per-program engine counters for every warm program.
 	Programs map[string]ProgramStats `json:"programs,omitempty"`
 	// Durability holds per-program WAL state (last durable rev, snapshot
-	// age, log size); filled in by the metrics handler when the server
-	// runs with a data directory.
+	// age, log size) when the server runs with a data directory.
 	Durability map[string]DurabilityStats `json:"durability,omitempty"`
 }
 
@@ -300,42 +268,75 @@ type DurabilityStats struct {
 	WalBytes       int64   `json:"wal_bytes"`
 }
 
-// Snapshot captures a consistent-enough view for serving: counters are
-// read individually (no global lock), which is the standard monitoring
-// trade-off.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
+// snapshot assembles the one metrics snapshot both views render: the
+// counters plus the registry, pool, shard, durability, and replication
+// state read at call time. Counters are read individually (no global
+// lock), which is the standard monitoring trade-off.
+func (s *Server) snapshot() MetricsSnapshot {
+	m := s.metrics
+	snap := MetricsSnapshot{
 		Build:         binaryBuildInfo(),
 		UptimeSec:     time.Since(m.start).Seconds(),
 		Runtime:       runtimeSnapshot(),
-		Requests:      m.Requests.Load(),
-		Errors:        m.Errors.Load(),
-		InFlight:      m.InFlight.Load(),
-		Timeouts:      m.Timeouts.Load(),
+		InFlight:      int64(s.inflight.len()),
 		CacheHits:     m.CacheHits.Load(),
 		CacheMisses:   m.CacheMisses.Load(),
 		CacheEvict:    m.CacheEvict.Load(),
 		Fallbacks:     m.Fallbacks.Load(),
 		Asserts:       m.Asserts.Load(),
 		Ingested:      m.FactsIngested.Load(),
-		Shed:          m.Shed.Load(),
 		Coalesced:     m.Coalesced.Load(),
 		FlightLeaders: m.FlightLeaders.Load(),
+		QueueDepth:    int64(s.pool.Depth()),
+		QueueCapacity: int64(s.pool.Capacity()),
+		Shards:        s.reg.ShardStats(),
 		WalAppends:    m.WalAppends.Load(),
 		WalFsyncs:     m.WalFsyncs.Load(),
 		Snapshots:     m.Snapshots.Load(),
 		SnapErrors:    m.SnapshotErrors.Load(),
 		FsyncLatency:  m.fsyncLatency.snapshot(),
 		Routes:        make(map[string]RouteSnapshot, len(m.routes)),
+		Programs:      s.reg.WarmStats(),
 	}
 	for name, r := range m.routes {
-		s.Routes[name] = RouteSnapshot{
+		rs := RouteSnapshot{
 			Requests: r.Requests.Load(),
 			Errors:   r.Errors.Load(),
 			Sheds:    r.Sheds.Load(),
 			Timeouts: r.Timeouts.Load(),
 			Latency:  r.latency.snapshot(),
 		}
+		snap.Routes[name] = rs
+		snap.Requests += rs.Requests
+		snap.Errors += rs.Errors
+		snap.Shed += rs.Sheds
+		snap.Timeouts += rs.Timeouts
 	}
-	return s
+	for _, p := range snap.Programs {
+		snap.LintWarnings += int64(p.LintWarnings)
+	}
+	if stats := s.reg.DurabilityStats(); stats != nil {
+		snap.Durability = make(map[string]DurabilityStats, len(stats))
+		for id, st := range stats {
+			snap.Durability[id] = DurabilityStats{
+				Seq:            st.Seq,
+				Rev:            st.Rev,
+				DurableSeq:     st.DurableSeq,
+				DurableRev:     st.DurableRev,
+				SnapshotSeq:    st.SnapshotSeq,
+				SnapshotAgeSec: st.SnapshotAge.Seconds(),
+				WalBytes:       st.Bytes,
+			}
+		}
+	}
+	if s.follower != nil {
+		snap.Follower = &FollowerSnapshot{
+			Leader:  s.cfg.Follow,
+			Polls:   m.FollowerPolls.Load(),
+			Records: m.FollowerRecords.Load(),
+			Errors:  m.FollowerErrors.Load(),
+			Lag:     m.FollowerLag.Load(),
+		}
+	}
+	return snap
 }

@@ -8,7 +8,7 @@ import (
 
 // Pool errors.
 var (
-	// ErrPoolClosed is returned by Do once Close has been called.
+	// ErrPoolClosed is returned by TryDo once Close has been called.
 	ErrPoolClosed = errors.New("server: worker pool closed")
 	// ErrQueueFull is returned by TryDo when every worker is busy and the
 	// queue is at capacity — the fast-fail admission verdict.
@@ -31,9 +31,9 @@ type task struct {
 // Pool is a bounded worker pool: a fixed set of goroutines draining a
 // bounded queue. It is the server's admission controller — at most
 // `workers` query evaluations run at once, at most `queue` more wait, and
-// beyond that submitters block until their per-request deadline expires.
-// That turns overload into prompt 503s instead of a goroutine pile-up,
-// and caps the memory the evaluation engine can pin concurrently.
+// beyond that submissions are rejected at once. That turns overload into
+// prompt 503s instead of a goroutine pile-up, and caps the memory the
+// evaluation engine can pin concurrently.
 type Pool struct {
 	tasks  chan task
 	closed chan struct{}
@@ -78,38 +78,18 @@ func (p *Pool) worker() {
 	}
 }
 
-// Do runs fn on a pool worker and returns once it has completed. It
-// returns ctx.Err() if the task could not be queued or did not finish
-// before the context was done (the worker may still run fn to completion
-// in the background; the caller must not read fn's results after a
-// non-nil return), and ErrPoolClosed during shutdown.
-func (p *Pool) Do(ctx context.Context, fn func()) error {
-	t := task{ctx: ctx, fn: fn, done: make(chan struct{})}
-	select {
-	case p.tasks <- t:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closed:
-		return ErrPoolClosed
-	}
-	select {
-	case <-t.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.closed:
-		return ErrPoolClosed
-	}
-}
-
-// TryDo is Do with fast-fail admission: if the task cannot be queued
-// RIGHT NOW — every worker busy, queue full — it returns ErrQueueFull
-// immediately instead of blocking until the deadline. Once admitted the
-// semantics match Do exactly. This is the load-shedding entry point:
-// under overload the caller turns the error into a prompt 429/503 with
-// Retry-After rather than holding the connection open to time out.
+// TryDo runs fn on a pool worker and returns once it has completed. It
+// fast-fails: if the task cannot be queued RIGHT NOW — every worker busy,
+// queue full — it returns ErrQueueFull immediately instead of blocking,
+// so under overload the caller turns the error into a prompt 503 with
+// Retry-After rather than holding the connection open to time out. Once
+// admitted it returns ctx.Err() if fn did not run to completion before
+// the context was done (the worker may still run fn in the background;
+// the caller must not read fn's results after a non-nil return), and
+// ErrPoolClosed during shutdown.
 func (p *Pool) TryDo(ctx context.Context, fn func()) error {
-	t := task{ctx: ctx, fn: fn, done: make(chan struct{})}
+	ran := false
+	t := task{ctx: ctx, fn: func() { fn(); ran = true }, done: make(chan struct{})}
 	select {
 	case p.tasks <- t:
 	case <-p.closed:
@@ -119,6 +99,11 @@ func (p *Pool) TryDo(ctx context.Context, fn func()) error {
 	}
 	select {
 	case <-t.done:
+		// A worker skips a task whose deadline passed while it was
+		// queued; done then closes without fn having run.
+		if !ran {
+			return ctx.Err()
+		}
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

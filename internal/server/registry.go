@@ -105,12 +105,6 @@ func (e *entry) ID() string { return e.src.id }
 // then advanced by every batch.
 func (e *entry) Rev() string { return e.src.rev }
 
-// Period returns the certified minimal period.
-func (e *entry) Period() tdd.Period { return e.period }
-
-// Lint returns the Tier-A analysis computed when the entry was built.
-func (e *entry) Lint() tdd.LintResult { return e.lint }
-
 // future caches one compile-in-progress so concurrent misses on the same
 // id do the work once (no thundering herd on expensive period
 // certifications).
@@ -204,22 +198,6 @@ func NewRegistry(shardCount, cacheSize, maxWindow int, m *Metrics) *Registry {
 	return r
 }
 
-// hashSource derives the registry handle: a content hash, so registering
-// the same program twice — from any client — yields the same id. The
-// hash lives in internal/wal because it roots every program's on-disk
-// rev chain; leaders and followers must agree on it byte for byte.
-func hashSource(unit, rules, facts string) string {
-	return wal.HashSource(unit, rules, facts)
-}
-
-// nextRev advances the content revision by one ingested batch: a hash
-// chain, so the revision commits to the base program and the entire
-// ingestion history in order. Shared with internal/wal, which verifies
-// the same chain on disk during recovery.
-func nextRev(rev, batch string) string {
-	return wal.NextRev(rev, batch)
-}
-
 // compile builds a warm entry: parse and validate, certify the period,
 // export the relational specification, and re-import it as the immutable
 // serving structure.
@@ -256,16 +234,31 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 			return nil, fmt.Errorf("replaying ingested facts: %w", err)
 		}
 	}
+	e, err := preprocess(src, db, "preprocessing", tr)
+	if err != nil {
+		return nil, err
+	}
+	e.tr, e.slicing = tr, r.slicing
+	return e, nil
+}
+
+// preprocess builds src's warm entry from its evaluated db — the one
+// path shared by compile and ingest: the certified specification is
+// exported, re-imported as the immutable serving structure, sized, and
+// linted. stage names the export in its error; phases (nil: untraced)
+// receives the pipeline's spans. The caller sets the entry's lifetime
+// trace and slicing flag.
+func preprocess(src *programSource, db *tdd.DB, stage string, phases *obs.Trace) (*entry, error) {
 	// The export triggers the whole certification pipeline, so its phases
 	// (classify, certify-period with fixpoint sweeps, spec-construct) nest
 	// under preprocess in the trace.
-	sp := tr.Begin("preprocess")
+	sp := phases.Begin("preprocess")
 	specJSON, err := db.ExportSpec()
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("preprocessing: %w", err)
+		return nil, fmt.Errorf("%s: %w", stage, err)
 	}
-	sp = tr.Begin("import")
+	sp = phases.Begin("import")
 	specDB, err := tdd.ImportSpec(specJSON)
 	sp.End()
 	if err != nil {
@@ -277,10 +270,10 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 	}
 	// Lint after the export: the specification is already certified, so
 	// the linter's semantic probe reuses it and re-evaluates nothing. The
-	// cost lands on compile, keeping the query path untouched.
-	sp = tr.Begin("lint")
-	lintRes := db.Lint(src.lintSource())
-	sp.Add("warnings", int64(lintRes.Warnings()))
+	// cost lands on compile and ingest, keeping the query path untouched.
+	sp = phases.Begin("lint")
+	lint := db.Lint(src.lintSource())
+	sp.Add("warnings", int64(lint.Warnings()))
 	sp.End()
 	return &entry{
 		src:      src,
@@ -290,9 +283,7 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 		period:   specDB.Period(),
 		reps:     reps,
 		facts:    facts,
-		lint:     lintRes,
-		slicing:  r.slicing,
-		tr:       tr,
+		lint:     lint,
 	}, nil
 }
 
@@ -301,15 +292,11 @@ func (r *Registry) compile(src *programSource) (*entry, error) {
 // Registration compiles eagerly so clients learn about invalid programs
 // and uncertifiable periods at registration time, not on first query.
 func (r *Registry) Register(unit, rules, facts string) (e *entry, existing bool, err error) {
-	id := hashSource(unit, rules, facts)
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.progs[id]; ok {
-		sh.mu.Unlock()
+	id := wal.HashSource(unit, rules, facts)
+	if r.source(id) != nil {
 		e, err = r.Lookup(id)
 		return e, true, err
 	}
-	sh.mu.Unlock()
 
 	// Compile outside the lock; registration of distinct programs
 	// proceeds in parallel. Two racing registrations of the same program
@@ -403,25 +390,20 @@ func (r *Registry) Lookup(id string) (*entry, error) {
 // (parse failure, signature conflict, uncertifiable period) nothing is
 // published and the program is unchanged.
 func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.progs[id]; !ok {
-		sh.mu.Unlock()
+	if r.source(id) == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
-	sh.mu.Unlock()
 
 	// The writer lock is refcounted: it exists only while a writer holds
 	// or awaits it, so the writing table stays bounded by in-flight
 	// ingests rather than growing with every program ever written.
+	sh := r.shardFor(id)
 	wl := sh.lockWriter(id)
 	defer sh.unlockWriter(id, wl)
 
-	// Re-read the source under the shard lock: an ingest that held the
-	// writer lock before us may have advanced it.
-	sh.mu.Lock()
-	src := sh.progs[id]
-	sh.mu.Unlock()
+	// Re-read the source: an ingest that held the writer lock before us
+	// may have advanced it.
+	src := r.source(id)
 	if src == nil {
 		return nil, tdd.AssertResult{}, ErrNotFound
 	}
@@ -435,40 +417,22 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 	if err != nil {
 		return nil, res, err
 	}
-	specJSON, err := fork.ExportSpec()
-	if err != nil {
-		return nil, res, fmt.Errorf("re-preprocessing: %w", err)
-	}
-	specDB, err := tdd.ImportSpec(specJSON)
-	if err != nil {
-		return nil, res, fmt.Errorf("reloading specification: %w", err)
-	}
-	reps, nfacts, err := fork.SpecificationSize()
-	if err != nil {
-		return nil, res, err
-	}
 	nsrc := &programSource{
 		id:    id,
 		unit:  src.unit,
 		rules: src.rules,
 		facts: src.facts,
-		rev:   nextRev(src.rev, facts),
+		rev:   wal.NextRev(src.rev, facts),
 		extra: append(append([]string(nil), src.extra...), facts),
 	}
 	// The fork's BT carries ent's lifetime trace, so the Assert above
 	// recorded its ingest/delta spans into it; the successor entry keeps
-	// the same trace.
-	ne := &entry{
-		src:      nsrc,
-		db:       fork,
-		specDB:   specDB,
-		specJSON: specJSON,
-		period:   specDB.Period(),
-		reps:     reps,
-		facts:    nfacts,
-		lint:     fork.Lint(nsrc.lintSource()),
-		tr:       ent.tr,
+	// the same trace, and the fork keeps ent's slicing option.
+	ne, err := preprocess(nsrc, fork, "re-preprocessing", nil)
+	if err != nil {
+		return nil, res, err
 	}
+	ne.tr, ne.slicing = ent.tr, ent.slicing
 	// Log-before-publish: the batch reaches the WAL (and, under
 	// fsync=always, stable storage) before any reader can observe it. A
 	// failed append rejects the whole ingest with nothing published — an
@@ -492,7 +456,7 @@ func (r *Registry) Ingest(id, facts string) (*entry, tdd.AssertResult, error) {
 				Rev:     nsrc.rev,
 				Base:    wal.Base{ID: id, Unit: nsrc.unit, Rules: nsrc.rules, Facts: nsrc.facts},
 				Records: chainRecords(nsrc),
-				Spec:    specJSON,
+				Spec:    ne.specJSON,
 			}
 			if err := lg.WriteSnapshot(snap); err != nil {
 				r.metrics.SnapshotErrors.Add(1)
@@ -517,7 +481,7 @@ func chainRecords(src *programSource) []wal.Record {
 	recs := make([]wal.Record, 0, len(src.extra))
 	rev := src.id
 	for i, batch := range src.extra {
-		next := nextRev(rev, batch)
+		next := wal.NextRev(rev, batch)
 		recs = append(recs, wal.Record{Seq: uint64(i + 1), Prev: rev, Rev: next, Batch: batch})
 		rev = next
 	}
@@ -602,8 +566,8 @@ func (r *Registry) DurabilityStats() map[string]wal.LogStats {
 	return r.wal.Stats()
 }
 
-// source returns the registered program's source state, or nil (test
-// hook; callers must not mutate the result outside the shard's lock).
+// source returns the registered program's source state, or nil. Sources
+// are immutable once published; an ingest publishes a successor.
 func (r *Registry) source(id string) *programSource {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
@@ -614,11 +578,8 @@ func (r *Registry) source(id string) *programSource {
 // SeqRev reports a registered program's batch count and current content
 // revision (the follower's replication cursor).
 func (r *Registry) SeqRev(id string) (seq uint64, rev string, ok bool) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	src, ok := sh.progs[id]
-	if !ok {
+	src := r.source(id)
+	if src == nil {
 		return 0, "", false
 	}
 	return uint64(len(src.extra)), src.rev, true
@@ -640,11 +601,8 @@ type WalFeed struct {
 // leader can serve followers. from is the number of batches the caller
 // already has.
 func (r *Registry) Feed(id string, from uint64) (WalFeed, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	src, ok := sh.progs[id]
-	sh.mu.Unlock()
-	if !ok {
+	src := r.source(id)
+	if src == nil {
 		return WalFeed{}, ErrNotFound
 	}
 	recs := chainRecords(src)
@@ -674,7 +632,7 @@ func (r *Registry) ApplyReplicated(id string, rec wal.Record) error {
 		return fmt.Errorf("server: replication divergence on %s: leader record (seq %d, prev %s) does not continue local state (seq %d, rev %s)",
 			id, rec.Seq, rec.Prev, seq, rev)
 	}
-	if got := nextRev(rec.Prev, rec.Batch); got != rec.Rev {
+	if got := wal.NextRev(rec.Prev, rec.Batch); got != rec.Rev {
 		return fmt.Errorf("server: replication divergence on %s: batch %d hashes to %s, leader says %s",
 			id, rec.Seq, got, rec.Rev)
 	}
@@ -706,11 +664,14 @@ type ProgramStats struct {
 	LintWarnings int `json:"lint_warnings"`
 }
 
-// PeriodInfo is the JSON form of a period in metrics.
+// PeriodInfo is the JSON form of a period: in metrics, in register and
+// facts responses, and as the GET /programs/{id}/period body.
 type PeriodInfo struct {
 	Base int `json:"base"`
 	P    int `json:"p"`
 }
+
+func (e *entry) periodInfo() PeriodInfo { return PeriodInfo{Base: e.period.Base, P: e.period.P} }
 
 // WarmStats reports engine work counters for every warm (resident and
 // resolved) program. In-flight compiles are skipped rather than awaited.
@@ -726,7 +687,7 @@ func (r *Registry) WarmStats() map[string]ProgramStats {
 			derived, firings, sweeps := e.db.EngineStats()
 			out[id] = ProgramStats{
 				Rev:             e.src.rev,
-				Period:          PeriodInfo{Base: e.period.Base, P: e.period.P},
+				Period:          e.periodInfo(),
 				Derived:         derived,
 				Firings:         firings,
 				Sweeps:          sweeps,
@@ -765,59 +726,52 @@ func (r *Registry) CachedLen() int {
 	return n
 }
 
-// ask answers a closed query for this entry: the cached specification
-// first (the E7 fast path), the BT engine as fallback. engine reports
-// which path answered. tr (may be nil) receives the request's phase
-// spans; a fallback records a second parse-query/answer pair.
-//
-// With slicing enabled the order flips: the slicing-enabled processor
-// answers first — it evaluates only the query's relevance slice, whose
-// certified period (and hence quantifier domains) can be far smaller
-// than the full specification's — and the full specification cache is
-// the fallback. "sliced" labels that processor's answers; it itself
-// falls back to full evaluation internally when the query's slice is
-// the whole program.
-func (e *entry) ask(q string, m *Metrics, tr *obs.Trace) (result bool, engine string, err error) {
-	if e.slicing {
-		result, err = e.db.AskTrace(q, tr)
-		if err == nil {
-			return result, "sliced", nil
-		}
-		btErr := err
-		result, err = e.specDB.AskTrace(q, tr)
-		if err != nil {
-			return false, "", btErr
-		}
-		m.Fallbacks.Add(1)
-		return result, "spec", nil
-	}
-	result, err = e.specDB.AskTrace(q, tr)
-	if err == nil {
-		return result, "spec", nil
-	}
-	specErr := err
-	result, err = e.db.AskTrace(q, tr)
-	if err != nil {
-		// Both failed — report the spec error; the paths share a parser,
-		// so this is almost always a malformed query.
-		return false, "", specErr
-	}
-	m.Fallbacks.Add(1)
-	return result, "bt", nil
+// processor is what entry.query evaluates against: the warm
+// specification (tdd.SpecDB) or the BT engine (tdd.DB).
+type processor interface {
+	AskTrace(q string, tr *obs.Trace) (bool, error)
+	AnswersLimitTrace(q string, limit int, tr *obs.Trace) ([]tdd.Answer, error)
 }
 
-// answers enumerates (up to limit) answers for this entry, spec path
-// first with BT fallback; see ask.
-func (e *entry) answers(q string, limit int, m *Metrics, tr *obs.Trace) (ans []tdd.Answer, engine string, err error) {
-	ans, err = e.specDB.AnswersLimitTrace(q, limit, tr)
-	if err == nil {
-		return ans, "spec", nil
+// query evaluates k's query for this entry — a closed ask, or up to
+// k.limit answers — and returns the result with the entry and the engine
+// that answered. The cached specification answers first (the E7 fast
+// path) and the BT engine is the fallback; tr (may be nil) receives the
+// request's phase spans, and a fallback records a second
+// parse-query/answer pair. When both paths fail the first path's error
+// is reported: they share a parser, so it is almost always a malformed
+// query.
+//
+// With slicing enabled an ask flips the order: the slicing-enabled
+// processor answers first — it evaluates only the query's relevance
+// slice, whose certified period (and hence quantifier domains) can be
+// far smaller than the full specification's — and the full
+// specification cache is the fallback. "sliced" labels that processor's
+// answers; it itself falls back to full evaluation internally when the
+// query's slice is the whole program.
+func (e *entry) query(k flightKey, m *Metrics, tr *obs.Trace) queryResult {
+	paths := [2]processor{e.specDB, e.db}
+	engines := [2]string{"spec", "bt"}
+	if e.slicing && !k.answers {
+		paths, engines = [2]processor{e.db, e.specDB}, [2]string{"sliced", "spec"}
 	}
-	specErr := err
-	ans, err = e.db.AnswersLimitTrace(q, limit, tr)
-	if err != nil {
-		return nil, "", specErr
+	var first error
+	for i, p := range paths {
+		res := queryResult{ent: e, engine: engines[i]}
+		if k.answers {
+			res.ans, res.err = p.AnswersLimitTrace(k.query, k.limit, tr)
+		} else {
+			res.result, res.err = p.AskTrace(k.query, tr)
+		}
+		if res.err == nil {
+			if i > 0 {
+				m.Fallbacks.Add(1)
+			}
+			return res
+		}
+		if i == 0 {
+			first = res.err
+		}
 	}
-	m.Fallbacks.Add(1)
-	return ans, "bt", nil
+	return queryResult{ent: e, err: first}
 }

@@ -22,9 +22,8 @@ type Config struct {
 	Workers int
 	// Queue is how many requests may wait for a worker beyond the ones
 	// running (default: 4×Workers, at least 64 — backpressure should bite
-	// under real overload, not at a burst a few cores can absorb). Under
-	// "shed" further requests fast-fail with 503; under "block" they wait
-	// until their deadline.
+	// under real overload, not at a burst a few cores can absorb). Further
+	// requests fast-fail with 503 and Retry-After.
 	Queue int
 	// CacheSize bounds the number of warm specifications resident at
 	// once (default 64). The budget is split evenly across shards.
@@ -35,13 +34,8 @@ type Config struct {
 	// mutex a program's table entries live under; 1 restores the single
 	// global lock domain.
 	Shards int
-	// Shed picks the admission policy. "shed" (the default) fast-fails
-	// requests when the program's shard is at capacity (429 Retry-After)
-	// or the worker queue is full (503 Retry-After) instead of letting
-	// them block until the request deadline. "block" restores the old
-	// block-until-deadline admission.
-	Shed string
-	// ShardQueue bounds in-flight requests per shard under "shed". The
+	// ShardQueue bounds in-flight requests per shard; a request whose
+	// shard is at capacity fast-fails with 429 and Retry-After. The
 	// default is Workers+Queue — the full admission capacity, so the
 	// gate never rejects a burst the server could absorb globally.
 	// Setting it lower partitions capacity between program families: one
@@ -118,9 +112,6 @@ func DefaultConfig(c Config) Config {
 	if c.Shards <= 0 {
 		c.Shards = 8
 	}
-	if c.Shed == "" {
-		c.Shed = "shed"
-	}
 	if c.ShardQueue <= 0 {
 		c.ShardQueue = c.Workers + c.Queue
 	}
@@ -154,12 +145,6 @@ func DefaultConfig(c Config) Config {
 	return c
 }
 
-// routeNames label metrics slots; they match the mux patterns below.
-var routeNames = []string{
-	"register", "list", "facts", "ask", "answers", "period", "spec", "wal", "healthz", "metrics", "metrics_prom",
-	"debug_flights", "debug_slow", "debug_shards", "debug_graph",
-}
-
 // Server is the tddserve HTTP service: registry + spec cache + worker
 // pool + metrics behind a JSON API. Create with New, expose with
 // Handler or Serve, stop with Shutdown.
@@ -187,10 +172,7 @@ type Server struct {
 // when a leader is configured, and starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg = DefaultConfig(cfg)
-	if cfg.Shed != "shed" && cfg.Shed != "block" {
-		return nil, fmt.Errorf("server: unknown admission policy %q (want \"shed\" or \"block\")", cfg.Shed)
-	}
-	m := newMetrics(routeNames)
+	m := newMetrics()
 	s := &Server{
 		cfg:      cfg,
 		metrics:  m,
@@ -234,21 +216,30 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.recoveredPrograms, s.recoveredBatches = progs, batches
 	}
-	s.route("POST /programs", "register", s.handleRegister)
-	s.route("GET /programs", "list", s.handleList)
-	s.route("POST /programs/{id}/facts", "facts", s.handleFacts)
-	s.route("POST /programs/{id}/ask", "ask", s.handleAsk)
-	s.route("POST /programs/{id}/answers", "answers", s.handleAnswers)
-	s.route("GET /programs/{id}/period", "period", s.handlePeriod)
-	s.route("GET /programs/{id}/spec", "spec", s.handleSpec)
-	s.route("GET /programs/{id}/wal", "wal", s.handleWAL)
-	s.route("GET /healthz", "healthz", s.handleHealthz)
-	s.route("GET /metrics", "metrics", s.handleMetrics)
-	s.route("GET /metrics.prom", "metrics_prom", s.handleMetricsProm)
-	s.route("GET /debug/flights", "debug_flights", s.handleDebugFlights)
-	s.route("GET /debug/slow", "debug_slow", s.handleDebugSlow)
-	s.route("GET /debug/shards", "debug_shards", s.handleDebugShards)
-	s.route("GET /debug/graph", "debug_graph", s.handleDebugGraph)
+	// The route table: mux pattern, metrics label, handler. Every route
+	// gets its own metrics slot, handed to its handler for fail.
+	for _, rt := range []struct {
+		pattern, name string
+		h             handler
+	}{
+		{"POST /programs", "register", s.handleRegister},
+		{"GET /programs", "list", s.handleList},
+		{"POST /programs/{id}/facts", "facts", s.handleFacts},
+		{"POST /programs/{id}/ask", "ask", s.handleQuery(false)},
+		{"POST /programs/{id}/answers", "answers", s.handleQuery(true)},
+		{"GET /programs/{id}/period", "period", s.handlePeriod},
+		{"GET /programs/{id}/spec", "spec", s.handleSpec},
+		{"GET /programs/{id}/wal", "wal", s.handleWAL},
+		{"GET /healthz", "healthz", s.handleHealthz},
+		{"GET /metrics", "metrics", s.handleMetrics},
+		{"GET /metrics.prom", "metrics_prom", s.handleMetricsProm},
+		{"GET /debug/flights", "debug_flights", s.handleDebugFlights},
+		{"GET /debug/slow", "debug_slow", s.handleDebugSlow},
+		{"GET /debug/shards", "debug_shards", s.handleDebugShards},
+		{"GET /debug/graph", "debug_graph", s.handleDebugGraph},
+	} {
+		s.route(rt.pattern, rt.name, rt.h)
+	}
 	if cfg.EnablePprof {
 		// Raw stdlib handlers, outside the instrumentation middleware:
 		// profile endpoints stream for configurable durations and would
@@ -275,9 +266,6 @@ func (s *Server) Recovered() (programs, batches int) {
 // Registry exposes the program registry (preloading, tests).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Metrics exposes the metrics (tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // statusRecorder captures the response status for metrics and logs.
 type statusRecorder struct {
 	http.ResponseWriter
@@ -289,14 +277,19 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// handler is a route's request handler; rm is the route's own metrics
+// slot, which fail books admission verdicts and timeouts against.
+type handler func(w http.ResponseWriter, r *http.Request, rm *routeMetrics)
+
 // route registers pattern with the instrumentation middleware: in-flight
 // gauge, request/error counters, latency histogram, structured log line.
-func (s *Server) route(pattern, name string, h http.HandlerFunc) {
-	rm := s.metrics.route(name)
+// It creates the route's metrics slot; New calls it before serving, so
+// the routes map is read-only once requests arrive.
+func (s *Server) route(pattern, name string, h handler) {
+	rm := &routeMetrics{}
+	s.metrics.routes[name] = rm
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.Requests.Add(1)
-		s.metrics.InFlight.Add(1)
 		rm.Requests.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 
@@ -315,23 +308,21 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 		if program != "" {
 			shardIdx = s.reg.shardIndex(program)
 		}
-		token := s.inflight.add(&inflightReq{
-			route:   name,
-			method:  r.Method,
-			path:    r.URL.Path,
-			program: program,
-			shard:   shardIdx,
-			traceID: tid,
+		token := s.inflight.add(InflightSnapshot{
+			Route:   name,
+			Method:  r.Method,
+			Path:    r.URL.Path,
+			Program: program,
+			Shard:   shardIdx,
+			TraceID: tid,
 			started: start,
 		})
-		h(rec, r.WithContext(obs.WithID(r.Context(), tid)))
+		h(rec, r.WithContext(obs.WithID(r.Context(), tid)), rm)
 		s.inflight.remove(token)
 
 		d := time.Since(start)
-		s.metrics.InFlight.Add(-1)
 		rm.latency.observe(d)
 		if rec.status >= 400 {
-			s.metrics.Errors.Add(1)
 			rm.Errors.Add(1)
 		}
 		s.cfg.Logger.Info("request",
@@ -372,22 +363,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
 	}
-	if s.follower != nil {
-		s.follower.stop()
-	}
-	s.pool.Close()
-	if werr := s.reg.CloseWAL(); werr != nil && err == nil {
+	if werr := s.stop(); werr != nil && err == nil {
 		err = werr
 	}
 	return err
 }
 
 // Close releases resources without the graceful drain (tests using only
-// Handler). The follower → pool → WAL ordering matches Shutdown.
+// Handler).
 func (s *Server) Close() {
+	s.stop() //nolint:errcheck // no caller to report to
+}
+
+// stop tears down in the durability order: follower, then the worker
+// pool (waiting for every dispatched closure), then the WAL store.
+func (s *Server) stop() error {
 	if s.follower != nil {
 		s.follower.stop()
 	}
 	s.pool.Close()
-	s.reg.CloseWAL() //nolint:errcheck // no caller to report to
+	return s.reg.CloseWAL()
 }

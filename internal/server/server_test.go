@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -146,7 +149,7 @@ func TestRegisterAskAnswersPeriod(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("period: status %d", resp.StatusCode)
 	}
-	var p periodJSON
+	var p PeriodInfo
 	if err := json.Unmarshal(body, &p); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +351,7 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal("ski query wrong after eviction")
 		}
 	}
-	m := s.Metrics().Snapshot()
+	m := s.snapshot()
 	if m.CacheEvict < 2 {
 		t.Errorf("cache evictions = %d, want >= 2 with capacity 1 and two programs", m.CacheEvict)
 	}
@@ -397,7 +400,7 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
-	if got := s.Metrics().Timeouts.Load(); got < 1 {
+	if got := s.snapshot().Timeouts; got < 1 {
 		t.Errorf("timeouts counter = %d, want >= 1", got)
 	}
 }
@@ -418,9 +421,13 @@ func TestShutdownRejects(t *testing.T) {
 	}
 }
 
+// TestPool covers the pool's one submit method: every admitted task
+// runs, a submission beyond busy workers and a full queue fast-fails
+// with ErrQueueFull, a task whose deadline passed in the queue reports
+// the deadline instead of running, and a closed pool reports
+// ErrPoolClosed.
 func TestPool(t *testing.T) {
 	p := NewPool(2, 2)
-	defer p.Close()
 	var mu sync.Mutex
 	n := 0
 	var wg sync.WaitGroup
@@ -428,21 +435,64 @@ func TestPool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.Do(t.Context(), func() {
-				mu.Lock()
-				n++
-				mu.Unlock()
-			})
-			if err != nil {
-				t.Error(err)
+			for {
+				err := p.TryDo(t.Context(), func() {
+					mu.Lock()
+					n++
+					mu.Unlock()
+				})
+				if err == nil {
+					return
+				}
+				if !errors.Is(err, ErrQueueFull) {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
 			}
 		}()
 	}
 	wg.Wait()
 	mu.Lock()
-	defer mu.Unlock()
 	if n != 20 {
 		t.Errorf("ran %d tasks, want 20", n)
+	}
+	mu.Unlock()
+
+	// Hold both workers, then fill the two queue slots with tasks whose
+	// deadline expires while they wait.
+	gate := make(chan struct{})
+	held := make(chan struct{}, 2)
+	for i := 0; i < 2; i++ {
+		go p.TryDo(t.Context(), func() { held <- struct{}{}; <-gate }) //nolint:errcheck
+	}
+	<-held
+	<-held
+	ctx, cancel := context.WithTimeout(t.Context(), 20*time.Millisecond)
+	defer cancel()
+	ran := false
+	queued := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { queued <- p.TryDo(ctx, func() { ran = true }) }()
+	}
+	for p.Depth() < 2 {
+		runtime.Gosched()
+	}
+	if err := p.TryDo(t.Context(), func() {}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("submission past a full queue: %v, want ErrQueueFull", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-queued; !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("expired queued task: %v, want DeadlineExceeded", err)
+		}
+	}
+	close(gate)
+	p.Close()
+	if ran {
+		t.Error("a task whose deadline passed in the queue still ran")
+	}
+	if err := p.TryDo(t.Context(), func() {}); !errors.Is(err, ErrPoolClosed) {
+		t.Errorf("submission after Close: %v, want ErrPoolClosed", err)
 	}
 }
 

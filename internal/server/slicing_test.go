@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"tdd/internal/workload"
 )
@@ -105,5 +106,58 @@ func TestDebugGraph(t *testing.T) {
 	resp, _ = getJSON(t, ts.URL+"/debug/graph?id=doesnotexist")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSlicedServingSurvivesIngest: an ingested batch keeps the program
+// on the sliced path — the successor entry inherits the slicing option
+// its forked database was opened with — and the new fact is answered.
+func TestSlicedServingSurvivesIngest(t *testing.T) {
+	_, ts := newTestServer(t, Config{Slicing: true})
+	id := register(t, ts.URL, distractorUnit())
+	ingest(t, ts.URL, id, "q(1, c1).\n")
+
+	resp, body := postJSON(t, ts.URL+"/programs/"+id+"/ask", askRequest{Query: "q(1000001, c1)"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ask: status %d: %s", resp.StatusCode, body)
+	}
+	var ar askResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if !ar.Result || ar.Engine != "sliced" {
+		t.Errorf("after ingest: result %v engine %q, want true from sliced", ar.Result, ar.Engine)
+	}
+	resp, body = getJSON(t, ts.URL+"/debug/graph?id="+id)
+	var g debugGraphResponse
+	if err := json.Unmarshal(body, &g); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("graph: status %d: %s", resp.StatusCode, body)
+	}
+	if !g.Slicing {
+		t.Error("graph reports slicing off after ingest")
+	}
+}
+
+// TestDebugGraphAdmission: /debug/graph may compile an evicted program,
+// so it runs through the same shard gate, worker pool, and deadline as
+// every program route. Under an immediate deadline it must come back
+// 503 with the timeout counted, not run the lookup on the HTTP
+// goroutine.
+func TestDebugGraphAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	ent, _, err := s.Registry().Register(evenUnit, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := getJSON(t, ts.URL+"/debug/graph?id="+ent.ID())
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
+	}
+	snap := s.snapshot()
+	if got := snap.Routes["debug_graph"].Timeouts; got != 1 {
+		t.Errorf("debug_graph timeouts = %d, want 1", got)
+	}
+	if snap.Timeouts != 1 {
+		t.Errorf("timeouts = %d, want 1", snap.Timeouts)
 	}
 }

@@ -134,6 +134,14 @@ echo "==> serving contention battery under GOMAXPROCS=4 -race"
 # The singleflight, shard gates, and writer-lock refcounting only see
 # real interleavings when the runtime can run handlers concurrently;
 # a 1-CPU box pins GOMAXPROCS=1 by default, which would serialize them.
+# The battery selects tests by name, so a rename could silently empty it:
+# the -list check fails loudly if the coalescing or shedding tests ever
+# stop matching the regex.
+battery=$(go test -list 'Shard|Coalesc|Shed|WriterLock|Flight' ./internal/server/)
+for want in TestQueryCoalesce TestShardShedsFast; do
+    echo "$battery" | grep -q "^$want\$" \
+        || { echo "contention battery: $want does not match the -run regex" >&2; exit 1; }
+done
 GOMAXPROCS=4 go test -race -run 'Shard|Coalesc|Shed|WriterLock|Flight' ./internal/server/
 
 echo "==> tddload smoke (2s self-hosted)"
