@@ -13,12 +13,11 @@ package server
 // free, exactly as they already agree on ids.
 //
 // Each shard also carries an admission gate: a bounded in-flight
-// counter sized by the server at startup. When shedding is enabled a
-// request is admitted only if its program's shard has capacity;
-// otherwise it is rejected immediately (429 with Retry-After) instead
-// of queueing until the request deadline. One overloaded program family
-// can then exhaust only its own shard's slots — traffic on the other
-// shards keeps flowing.
+// counter sized by the server at startup. A request is admitted only
+// if its program's shard has capacity; otherwise it is rejected
+// immediately (429 with Retry-After) instead of queueing until the
+// request deadline. One overloaded program family can then exhaust only
+// its own shard's slots — traffic on the other shards keeps flowing.
 
 import (
 	"hash/fnv"
@@ -41,7 +40,7 @@ type shard struct {
 	// mutex per program forever.
 	writing map[string]*writerLock // guarded-by: mu
 
-	// Admission gate (active only when the server enables shedding).
+	// Admission gate, consulted by every dispatched request.
 	inflight atomic.Int64 // requests admitted to this shard, not yet finished
 	capacity atomic.Int64 // gate size; requests beyond it are shed
 	sheds    atomic.Int64 // requests rejected by the gate
